@@ -58,12 +58,8 @@ class BoundingRegion(Protocol):
         """Maximum squared distance from ``query`` to the region."""
         ...
 
-    def min_sq_dist_batch(self, queries: FloatArray) -> FloatArray:
-        """Vectorised ``min_sq_dist`` for an ``(m, d)`` query batch."""
-        ...
-
-    def max_sq_dist_batch(self, queries: FloatArray) -> FloatArray:
-        """Vectorised ``max_sq_dist`` for an ``(m, d)`` query batch."""
+    def sq_dist_interval_batch(self, queries: FloatArray) -> tuple[FloatArray, FloatArray]:
+        """Vectorised ``(min_sq_dist, max_sq_dist)`` for an ``(m, d)`` batch."""
         ...
 
     def distance_interval(self, query: Sequence[float]) -> tuple[float, float]:

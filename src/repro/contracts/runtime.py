@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Iterator
 from repro.errors import InvariantViolation
 
 if TYPE_CHECKING:
-    from repro._types import PointLike
+    from repro._types import FloatArray, PointLike
 
 __all__ = [
     "ENV_VAR",
@@ -47,6 +47,7 @@ __all__ = [
     "refresh_from_env",
     "checking",
     "check_bound_pair",
+    "check_bound_pairs",
     "check_leaf_containment",
     "check_monotone_tightening",
     "check_kernel_values",
@@ -159,6 +160,14 @@ def check_bound_pair(
             node=node,
             query=_describe_query(query),
         )
+
+
+def check_bound_pairs(
+    lowers: FloatArray, uppers: FloatArray, *, bound: str, node: int, queries: FloatArray
+) -> None:
+    """:func:`check_bound_pair` on every row of a batched evaluation."""
+    for lower, upper, query in zip(lowers.tolist(), uppers.tolist(), queries.tolist()):
+        check_bound_pair(lower, upper, bound=bound, node=node, query=query)
 
 
 def check_leaf_containment(

@@ -315,29 +315,39 @@ class NodeAggregates:
             self._arrays = arrays
         return arrays
 
-    def sum_sq_dists_batch(self, queries: FloatArray) -> FloatArray:
-        """Vectorised :meth:`sum_sq_dists` for an ``(m, d)`` query batch."""
-        center, a, __, __ = self._moment_arrays()
-        shifted = queries - center
-        q_sq = np.einsum("ij,ij->i", shifted, shifted)
-        value = self.total_weight * q_sq - 2.0 * (shifted @ a) + self.b
-        return np.maximum(value, 0.0, out=value)
+    def dist_sums_batch(
+        self, queries: FloatArray, quartic: bool = True
+    ) -> tuple[FloatArray, FloatArray | None]:
+        """Vectorised ``(sum_sq_dists, sum_quartic_dists)`` for an ``(m, d)`` batch.
 
-    def sum_quartic_dists_batch(self, queries: FloatArray) -> FloatArray:
-        """Vectorised :meth:`sum_quartic_dists` for an ``(m, d)`` batch."""
-        center, a, v, c = self._moment_arrays()
-        shifted = queries - center
-        q_sq = np.einsum("ij,ij->i", shifted, shifted)
-        quad_form = np.einsum("ij,jk,ik->i", shifted, c, shifted)
-        value = (
-            self.total_weight * q_sq * q_sq
-            - 4.0 * q_sq * (shifted @ a)
-            - 4.0 * (shifted @ v)
-            + 2.0 * q_sq * self.b
-            + self.h
-            + 4.0 * quad_form
-        )
-        return np.maximum(value, 0.0, out=value)
+        Each centroid-shifted query column is computed once and feeds
+        ``||q||^2``, ``q.a``, ``q.v`` and the upper triangle of ``q^T C q``;
+        Lemma 3's factors 2, 4, 8 fold exactly into the moment scalars.
+        ``quartic=False`` skips the O(d^2) sum (``None`` in its place).
+        """
+        dims, a, v, c = self.dims, self.a, self.v, self.c
+        cols = [column - shift for column, shift in zip(queries.T, self.center)]
+        q_sq, dot_qa, dot_qv, quad = (np.zeros(len(queries), dtype=np.float64) for __ in range(4))
+        for j, col in enumerate(cols):
+            q_sq += np.square(col)
+            dot_qa += col * (2.0 * a[j])
+            if quartic:
+                dot_qv += col * (4.0 * v[j])
+                quad += np.square(col) * (4.0 * c[j * dims + j])
+                for i in range(j):
+                    quad += (cols[i] * col) * (8.0 * c[i * dims + j])
+        weighted_sq = q_sq * self.total_weight
+        sq_sum = np.maximum(weighted_sq - dot_qa + self.b, 0.0)
+        if not quartic:
+            return sq_sum, None
+        # Lemma 3 in the scalar operand order; each out= buffer is dead once overwritten.
+        quartic_sum = np.multiply(weighted_sq, q_sq, out=weighted_sq)
+        quartic_sum -= np.multiply(dot_qa, 2.0 * q_sq, out=dot_qa)
+        quartic_sum -= dot_qv
+        quartic_sum += np.multiply(q_sq, 2.0 * self.b, out=q_sq)
+        quartic_sum += self.h
+        quartic_sum += quad
+        return sq_sum, np.maximum(quartic_sum, 0.0, out=quartic_sum)
 
     def sum_quartic_dists(self, q: Sequence[float]) -> float:
         """``sum_i w_i dist(q, p_i)^4`` in O(d^2) time (Lemma 3)."""

@@ -103,19 +103,11 @@ class ComputeBackend(ABC):
         queries_sq: FloatArray,
     ) -> tuple[FloatArray, FloatArray]:
         """:meth:`node_bounds_batch` with every pair contract-validated."""
-        from repro.contracts.runtime import check_bound_pair
+        from repro.contracts.runtime import check_bound_pairs
 
         lowers, uppers = self.node_bounds_batch(provider, node, queries, queries_sq)
         bound = f"{type(provider).__name__}[{self.name}]"
-        node_id = node.node_id
-        for i in range(queries.shape[0]):
-            check_bound_pair(
-                float(lowers[i]),
-                float(uppers[i]),
-                bound=bound,
-                node=node_id,
-                query=queries[i].tolist(),
-            )
+        check_bound_pairs(lowers, uppers, bound=bound, node=node.node_id, queries=queries)
         return lowers, uppers
 
     def checked_leaf_exact_batch(

@@ -14,7 +14,8 @@ pure Python, which is how the parity tests exercise these formulas even
 on machines without numba.
 
 Scope: the compiled paths cover exactly the Gaussian/quad combination
-the paper benchmarks. Any other provider or kernel delegates to the
+on kd-tree (rectangle) nodes that the paper benchmarks. Any other
+provider, kernel or node region (a ball-tree ``Ball``) delegates to the
 provider's own numpy implementation, so mixed configurations stay
 correct rather than fast.
 
@@ -41,6 +42,7 @@ from repro.core.bounds.quadratic import (
     _MIN_GAP_FRACTION,
     QuadraticBoundProvider,
 )
+from repro.index.rectangle import Rectangle
 
 if TYPE_CHECKING:
     from repro._types import FloatArray
@@ -87,23 +89,15 @@ def _quad_gaussian_node_bounds_impl(
     m, dims = queries.shape
     scale = weight * total_weight
     for i in range(m):
-        # Rectangle min/max squared distance (see Rectangle.min_sq_dist).
-        min_sq = 0.0
-        max_sq = 0.0
+        # Rectangle min/max squared distance (see Rectangle.sq_dist_interval_batch).
+        min_sq = max_sq = 0.0
         for j in range(dims):
-            qj = queries[i, j]
-            below = low[j] - qj
-            above = qj - high[j]
-            outside = below if below > above else above
-            if outside > 0.0:
-                min_sq += outside * outside
-            d_low = qj - low[j]
-            if d_low < 0.0:
-                d_low = -d_low
-            d_high = qj - high[j]
-            if d_high < 0.0:
-                d_high = -d_high
-            farthest = d_low if d_low > d_high else d_high
+            below = low[j] - queries[i, j]
+            above = queries[i, j] - high[j]
+            nearest = below if below > above else above
+            if nearest > 0.0:
+                min_sq += nearest * nearest
+            farthest = below if below < above else above
             max_sq += farthest * farthest
         xmin = gamma * min_sq
         xmax = gamma * max_sq
@@ -117,22 +111,16 @@ def _quad_gaussian_node_bounds_impl(
             uppers[i] = baseline_upper
             continue
 
-        # Centred moment evaluation (NodeAggregates.sum_*_dists_batch).
-        q_sq = 0.0
-        dot_qa = 0.0
-        dot_qv = 0.0
+        # Centred moments, upper triangle of q^T C q (NodeAggregates.dist_sums_batch).
+        q_sq = dot_qa = dot_qv = quad_form = 0.0
         for j in range(dims):
             qj = queries[i, j] - center[j]
             q_sq += qj * qj
             dot_qa += qj * mom_a[j]
             dot_qv += qj * mom_v[j]
-        quad_form = 0.0
-        for r in range(dims):
-            qr = queries[i, r] - center[r]
-            row = 0.0
-            for j in range(dims):
-                row += mom_c[r, j] * (queries[i, j] - center[j])
-            quad_form += qr * row
+            quad_form += qj * qj * mom_c[j, j]
+            for r in range(j):
+                quad_form += 2.0 * (queries[i, r] - center[r]) * qj * mom_c[r, j]
         sq_sum = total_weight * q_sq - 2.0 * dot_qa + mom_b
         if sq_sum < 0.0:
             sq_sum = 0.0
@@ -257,10 +245,14 @@ class NumbaBackend(ComputeBackend):
         return numba_available()
 
     @staticmethod
-    def _supports_node(provider: BoundProvider) -> bool:
+    def _supports_node(provider: BoundProvider, node: KDTreeNode) -> bool:
+        # The kernel reads the node's box (``low``/``high``), so ball-tree
+        # nodes take the provider's numpy path, as do weightless nodes.
         return (
             type(provider) is QuadraticBoundProvider
             and provider.kernel.name == "gaussian"
+            and isinstance(node.rect, Rectangle)
+            and node.agg.total_weight > 0.0
         )
 
     @staticmethod
@@ -274,18 +266,13 @@ class NumbaBackend(ComputeBackend):
         queries: FloatArray,
         queries_sq: FloatArray,
     ) -> tuple[FloatArray, FloatArray]:
-        if not self._supports_node(provider):
+        if not self._supports_node(provider, node):
             # lint: allow-backend-dispatch -- explicit numpy delegation
-            # for provider/kernel combinations the JIT does not cover.
+            # for provider/kernel/region combinations the JIT does not cover.
             return provider.node_bounds_batch(node, queries, queries_sq)
         agg = node.agg
-        m = queries.shape[0]
-        lowers = np.empty(m, dtype=np.float64)
-        uppers = np.empty(m, dtype=np.float64)
-        if agg.total_weight <= 0.0:
-            lowers.fill(0.0)
-            uppers.fill(0.0)
-            return lowers, uppers
+        lowers = np.empty(queries.shape[0], dtype=np.float64)
+        uppers = np.empty(queries.shape[0], dtype=np.float64)
         center, mom_a, mom_v, mom_c = agg._moment_arrays()
         _node_bounds_jit(
             queries,

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.contracts.decorators import soundness_check
-from repro.contracts.runtime import check_bound_pair, check_kernel_values
+from repro.contracts.runtime import check_bound_pairs, check_kernel_values
 from repro.core.distances import sq_dists_to_batch, sq_dists_to_point
 from repro.core.kernels import Kernel, get_kernel
 from repro.errors import UnsupportedKernelError
@@ -190,16 +190,9 @@ class BoundProvider(ABC):
         checking is enabled, mirroring :meth:`checked_node_bounds`.
         """
         lowers, uppers = self.node_bounds_batch(node, queries, queries_sq)
-        bound = type(self).__name__
-        node_id = node.node_id
-        for i in range(queries.shape[0]):
-            check_bound_pair(
-                float(lowers[i]),
-                float(uppers[i]),
-                bound=bound,
-                node=node_id,
-                query=queries[i].tolist(),
-            )
+        check_bound_pairs(
+            lowers, uppers, bound=type(self).__name__, node=node.node_id, queries=queries
+        )
         return lowers, uppers
 
     def leaf_exact_batch(self, node: KDTreeNode, queries: FloatArray,
@@ -262,11 +255,10 @@ class BoundProvider(ABC):
         self, node: KDTreeNode, queries: FloatArray
     ) -> tuple[FloatArray, FloatArray]:
         """Vectorised :meth:`x_interval` for an ``(m, d)`` query batch."""
-        min_sq = node.rect.min_sq_dist_batch(queries)
-        max_sq = node.rect.max_sq_dist_batch(queries)
-        if self.kernel.uses_squared_distance:
-            return self.gamma * min_sq, self.gamma * max_sq
-        return self.gamma * np.sqrt(min_sq), self.gamma * np.sqrt(max_sq)
+        xmin, xmax = node.rect.sq_dist_interval_batch(queries)
+        if not self.kernel.uses_squared_distance:
+            xmin, xmax = np.sqrt(xmin, out=xmin), np.sqrt(xmax, out=xmax)
+        return np.multiply(xmin, self.gamma, out=xmin), np.multiply(xmax, self.gamma, out=xmax)
 
     def __repr__(self) -> str:
         return (

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.bounds.base import BoundProvider, EXP_NEG_XMAX
+from repro.core.bounds.base import BoundProvider
 
 if TYPE_CHECKING:
     from repro._types import BoundPair, FloatArray, PointLike
@@ -91,8 +91,7 @@ class LinearBoundProvider(BoundProvider):
         degenerate-interval case handled by a mask and ``exp`` arguments
         clamped at :data:`~repro.core.bounds.base.EXP_NEG_XMAX`.
         """
-        agg = node.agg
-        n = agg.total_weight
+        n = node.agg.total_weight
         m = queries.shape[0]
         if n <= 0.0:
             return (
@@ -101,14 +100,15 @@ class LinearBoundProvider(BoundProvider):
             )
         scale = self.weight * n
         xmin, xmax = self.x_interval_batch(node, queries)
-        exp_xmin = np.exp(-np.minimum(xmin, EXP_NEG_XMAX))
-        exp_xmax = np.exp(-np.minimum(xmax, EXP_NEG_XMAX))
+        exp_xmin = self.kernel.profile(xmin)
+        exp_xmax = self.kernel.profile(xmax)
         width = xmax - xmin
         degenerate = width <= _DEGENERATE_WIDTH
         safe_width = np.where(degenerate, 1.0, width)
-        x_sum = self.gamma * agg.sum_sq_dists_batch(queries)
+        x_sum, __ = node.agg.dist_sums_batch(queries, quartic=False)
+        x_sum *= self.gamma
         t = np.clip(x_sum / n, xmin, xmax)
-        exp_t = np.exp(-np.minimum(t, EXP_NEG_XMAX))
+        exp_t = self.kernel.profile(t)
         lower = self.weight * exp_t * ((1.0 + t) * n - x_sum)
         mu = (exp_xmax - exp_xmin) / safe_width
         ku = exp_xmin - mu * xmin
@@ -116,6 +116,6 @@ class LinearBoundProvider(BoundProvider):
         baseline_upper = scale * exp_xmin
         np.minimum(upper, baseline_upper, out=upper)
         np.minimum(lower, upper, out=lower)
-        lower = np.where(degenerate, scale * exp_xmax, lower)
-        upper = np.where(degenerate, baseline_upper, upper)
+        np.copyto(lower, scale * exp_xmax, where=degenerate)
+        np.copyto(upper, baseline_upper, where=degenerate)
         return lower, upper

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.bounds.base import BoundProvider, EXP_NEG_XMAX
+from repro.core.bounds.base import BoundProvider
 
 if TYPE_CHECKING:
     from repro._types import BoundPair, FloatArray, KernelLike, PointLike
@@ -138,12 +138,8 @@ class QuadraticBoundProvider(BoundProvider):
         if n <= 0.0:
             return 0.0, 0.0
         gamma = self.gamma
-        rect = node.rect
-        if self.kernel.uses_squared_distance:
-            xmin = gamma * rect.min_sq_dist(q)
-            xmax = gamma * rect.max_sq_dist(q)
-        else:  # pragma: no cover - provider is Gaussian-only
-            xmin, xmax = self.x_interval(node, q)
+        xmin = gamma * node.rect.min_sq_dist(q)
+        xmax = gamma * node.rect.max_sq_dist(q)
         exp_xmin = math.exp(-xmin)
         exp_xmax = math.exp(-xmax)
         baseline_lower = scale * exp_xmax
@@ -203,14 +199,12 @@ class QuadraticBoundProvider(BoundProvider):
     ) -> tuple[FloatArray, FloatArray]:
         """Vectorised :meth:`node_bounds` over an ``(m, d)`` query batch.
 
-        Mirrors the scalar formulas row-wise; the degenerate-interval and
-        tangent-line fallbacks become masks. ``x`` arguments to ``exp``
-        are clamped at :data:`~repro.core.bounds.base.EXP_NEG_XMAX` so
-        far-away nodes underflow to 0 without warnings (the scalar path
-        gets this for free from ``math.exp``).
+        Mirrors the scalar formulas row-wise and in the same operand order,
+        reusing buffers in place; the degenerate-interval and tangent-line
+        fallbacks become masks. The Gaussian profile clamps ``exp``
+        arguments at :data:`~repro.core.bounds.base.EXP_NEG_XMAX`.
         """
-        agg = node.agg
-        n = agg.total_weight
+        n = node.agg.total_weight
         weight = self.weight
         m = queries.shape[0]
         if n <= 0.0:
@@ -218,47 +212,65 @@ class QuadraticBoundProvider(BoundProvider):
                 np.zeros(m, dtype=np.float64),
                 np.zeros(m, dtype=np.float64),
             )
-        gamma = self.gamma
-        rect = node.rect
-        if self.kernel.uses_squared_distance:
-            xmin = gamma * rect.min_sq_dist_batch(queries)
-            xmax = gamma * rect.max_sq_dist_batch(queries)
-        else:  # pragma: no cover - provider is Gaussian-only
-            xmin, xmax = self.x_interval_batch(node, queries)
-        exp_xmin = np.exp(-np.minimum(xmin, EXP_NEG_XMAX))
-        exp_xmax = np.exp(-np.minimum(xmax, EXP_NEG_XMAX))
-        scale = weight * n
-        baseline_lower = scale * exp_xmax
-        baseline_upper = scale * exp_xmin
+        xmin, xmax = self.x_interval_batch(node, queries)
+        x_sum, x2_sum = node.agg.dist_sums_batch(queries)
+        assert x2_sum is not None
+        x_sum *= self.gamma
+        x2_sum *= self.gamma * self.gamma
+        exp_xmin = self.kernel.profile(xmin)
+        exp_xmax = self.kernel.profile(xmax)
+        baseline_lower = exp_xmax * (weight * n)
+        baseline_upper = exp_xmin * (weight * n)
         width = xmax - xmin
         degenerate = width <= _DEGENERATE_WIDTH
         safe_width = np.where(degenerate, 1.0, width)
-        x_sum = gamma * agg.sum_sq_dists_batch(queries)
-        x2_sum = gamma * gamma * agg.sum_quartic_dists_batch(queries)
+        tmp = np.empty_like(width)  # temporary: each value is dead by its next use
 
-        au = (exp_xmin - (safe_width + 1.0) * exp_xmax) / (safe_width * safe_width)
-        bu = (exp_xmax - exp_xmin) / safe_width - au * (xmin + xmax)
-        cu = (exp_xmin * xmax - exp_xmax * xmin) / safe_width + au * xmin * xmax
-        upper = weight * (au * x2_sum + bu * x_sum + cu * n)
+        # Upper (Theorem 1, sign-corrected).
+        au = np.subtract(exp_xmin, np.multiply(safe_width + 1.0, exp_xmax, out=tmp))
+        au /= np.square(safe_width, out=tmp)
+        bu = np.divide(np.subtract(exp_xmax, exp_xmin, out=tmp), safe_width)
+        bu -= np.multiply(np.add(xmin, xmax, out=tmp), au, out=tmp)
+        cu = np.subtract(exp_xmin * xmax, np.multiply(exp_xmax, xmin, out=tmp))
+        cu /= safe_width
+        cu += np.multiply(np.multiply(au, xmin, out=tmp), xmax, out=tmp)
+        upper = np.multiply(au, x2_sum, out=au)  # au, bu, cu are dead from here
+        upper += np.multiply(bu, x_sum, out=bu)
+        upper += np.multiply(cu, n, out=cu)
+        upper *= weight
 
+        # Lower: tangent parabola at t, or the tangent line near t = xmax.
         if self.tangent == "mean":
             t = np.clip(x_sum / n, xmin, xmax)
         else:
             t = 0.5 * (xmin + xmax)
         gap = xmax - t
-        exp_t = np.exp(-np.minimum(t, EXP_NEG_XMAX))
-        use_line = (gap <= _DEGENERATE_WIDTH) | (gap <= _MIN_GAP_FRACTION * width)
-        line_lower = weight * exp_t * ((1.0 + t) * n - x_sum)
-        safe_gap = np.where(use_line, 1.0, gap)
-        al = (exp_xmax + (xmax - 1.0 - t) * exp_t) / (safe_gap * safe_gap)
-        bl = -exp_t - 2.0 * t * al
-        cl = (1.0 + t) * exp_t + t * t * al
-        parabola_lower = weight * (al * x2_sum + bl * x_sum + cl * n)
-        lower = np.where(use_line, line_lower, parabola_lower)
+        exp_t = self.kernel.profile(t)
+        width *= _MIN_GAP_FRACTION  # width is dead from here
+        use_line = gap <= np.maximum(width, _DEGENERATE_WIDTH, out=width)
+        one_t = t + 1.0
+        line = np.subtract(one_t * n, x_sum)
+        line *= np.multiply(exp_t, weight, out=tmp)
+        np.copyto(gap, 1.0, where=use_line)  # gap is safe_gap, then its square
+        al = np.subtract(xmax - 1.0, t)
+        al *= exp_t
+        al += exp_xmax
+        al /= np.square(gap, out=gap)
+        # bl = -(exp_t + 2 t al), so bl * x_sum is subtracted below.
+        bl = np.multiply(np.multiply(t, 2.0, out=gap), al, out=gap)  # gap now holds bl
+        bl += exp_t
+        cl = np.multiply(one_t, exp_t, out=one_t)  # one_t is dead from here
+        cl += np.multiply(np.square(t, out=t), al, out=t)  # t is dead from here
+        lower = np.multiply(al, x2_sum, out=al)  # al, bl, cl are dead from here
+        lower -= np.multiply(bl, x_sum, out=bl)
+        lower += np.multiply(cl, n, out=cl)
+        lower *= weight
+        np.copyto(lower, line, where=use_line)
 
+        # Intersect with the always-valid baseline interval.
         np.minimum(upper, baseline_upper, out=upper)
         np.maximum(lower, baseline_lower, out=lower)
         np.minimum(lower, upper, out=lower)
-        lower = np.where(degenerate, baseline_lower, lower)
-        upper = np.where(degenerate, baseline_upper, upper)
+        np.copyto(lower, baseline_lower, where=degenerate)
+        np.copyto(upper, baseline_upper, where=degenerate)
         return lower, upper

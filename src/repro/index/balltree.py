@@ -15,7 +15,7 @@ Balls adapt better to diagonal/elongated clusters, boxes to axis-aligned
 ones; ``benchmarks/bench_ablation_index.py`` measures the trade-off.
 Nodes reuse :class:`~repro.index.kdtree.KDTreeNode` — the bound
 providers are duck-typed over the ``rect`` attribute's
-``min_sq_dist``/``max_sq_dist``.
+``min_sq_dist``/``max_sq_dist``/``sq_dist_interval_batch``.
 """
 
 from __future__ import annotations
@@ -79,10 +79,6 @@ class Ball:
             total += delta * delta
         return math.sqrt(total)
 
-    def _center_dist_batch(self, queries: FloatArray) -> FloatArray:
-        shifted = queries - self.center
-        return np.sqrt(np.einsum("ij,ij->i", shifted, shifted))
-
     def min_sq_dist(self, query: Sequence[float]) -> float:
         """Minimum squared distance from ``query`` to the ball."""
         gap = self._center_dist(query) - self.radius
@@ -95,15 +91,16 @@ class Ball:
         reach = self._center_dist(query) + self.radius
         return reach * reach
 
-    def min_sq_dist_batch(self, queries: FloatArray) -> FloatArray:
-        """Vectorised :meth:`min_sq_dist` for an ``(m, d)`` query batch."""
-        gap = np.maximum(self._center_dist_batch(queries) - self.radius, 0.0)
-        return gap * gap
-
-    def max_sq_dist_batch(self, queries: FloatArray) -> FloatArray:
-        """Vectorised :meth:`max_sq_dist` for an ``(m, d)`` query batch."""
-        reach = self._center_dist_batch(queries) + self.radius
-        return reach * reach
+    def sq_dist_interval_batch(self, queries: FloatArray) -> tuple[FloatArray, FloatArray]:
+        """Vectorised ``(min_sq_dist, max_sq_dist)``; one centre distance for both."""
+        center_dist = np.zeros(queries.shape[0], dtype=np.float64)
+        for column, shift in zip(queries.T, self._center_list):
+            delta = column - shift
+            center_dist += np.square(delta, out=delta)
+        np.sqrt(center_dist, out=center_dist)
+        gap = np.maximum(center_dist - self.radius, 0.0)
+        center_dist += self.radius
+        return np.square(gap, out=gap), np.square(center_dist, out=center_dist)
 
     def distance_interval(self, query: Sequence[float]) -> tuple[float, float]:
         """``(min_dist, max_dist)`` — plain (non-squared) distances."""

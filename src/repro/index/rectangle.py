@@ -105,12 +105,6 @@ class Rectangle:
             total += delta * delta
         return total
 
-    def min_sq_dist_batch(self, queries: FloatArray) -> FloatArray:
-        """Vectorised :meth:`min_sq_dist` for an ``(m, d)`` query batch."""
-        outside = np.maximum(self.low - queries, 0.0)
-        np.maximum(outside, queries - self.high, out=outside)
-        return np.einsum("ij,ij->i", outside, outside)
-
     def max_sq_dist(self, query: Sequence[float]) -> float:
         """Maximum squared Euclidean distance from ``query`` to the box.
 
@@ -153,10 +147,21 @@ class Rectangle:
             total += delta * delta
         return total
 
-    def max_sq_dist_batch(self, queries: FloatArray) -> FloatArray:
-        """Vectorised :meth:`max_sq_dist` for an ``(m, d)`` query batch."""
-        farthest = np.maximum(np.abs(queries - self.low), np.abs(queries - self.high))
-        return np.einsum("ij,ij->i", farthest, farthest)
+    def sq_dist_interval_batch(self, queries: FloatArray) -> tuple[FloatArray, FloatArray]:
+        """Vectorised ``(min_sq_dist, max_sq_dist)`` for an ``(m, d)`` batch.
+
+        Per axis, ``below = low - x`` and ``above = x - high`` feed both ends:
+        nearest offset ``max(below, above, 0)``, farthest ``-min(below, above)``.
+        """
+        min_sq, max_sq = np.zeros((2, queries.shape[0]), dtype=np.float64)
+        for low, high, column in zip(self._low_list, self._high_list, queries.T):
+            below = low - column
+            above = column - high
+            farthest = np.minimum(below, above)
+            np.maximum(np.maximum(below, above, out=below), 0.0, out=below)
+            min_sq += np.square(below, out=below)
+            max_sq += np.square(farthest, out=farthest)
+        return min_sq, max_sq
 
     def distance_interval(self, query: Sequence[float]) -> tuple[float, float]:
         """Return ``(min_dist, max_dist)`` — plain (non-squared) distances."""

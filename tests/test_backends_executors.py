@@ -25,6 +25,7 @@ from repro.core.backends.numba_backend import NumbaBackend, numba_available
 from repro.core.backends.numpy_backend import NumpyBackend
 from repro.core.bounds import make_bound_provider
 from repro.errors import InvalidParameterError, UnknownNameError
+from repro.index.balltree import BallTree
 from repro.index.kdtree import KDTree
 from repro.index.shared import attach_tree, publish_tree
 from repro.visual.executors import ProcessTileExecutor, TileJob
@@ -144,6 +145,21 @@ def test_numba_backend_delegates_unsupported_kernels():
     got = backend.node_bounds_batch(provider, node, queries, queries_sq)
     np.testing.assert_array_equal(got[0], ref[0])
     np.testing.assert_array_equal(got[1], ref[1])
+
+
+def test_numba_backend_delegates_ball_tree_nodes():
+    """Ball nodes have no box, so the node kernel sends them to numpy."""
+    points = make_points(n=120, seed=8)
+    tree = BallTree(points, leaf_size=16)
+    provider = make_bound_provider("quad", "gaussian", 0.8, 1.0 / 120)
+    backend = NumbaBackend(force=True)
+    queries = points[:5] + 0.25
+    queries_sq = np.einsum("ij,ij->i", queries, queries)
+    for node in (tree.root, tree.root.left):
+        ref = provider.node_bounds_batch(node, queries, queries_sq)
+        got = backend.node_bounds_batch(provider, node, queries, queries_sq)
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
 
 
 # -- shared-memory tree transport --------------------------------------------
@@ -451,14 +467,16 @@ def test_anytime_process_deadline_degrades_with_valid_envelope():
 
 
 def test_service_config_exposes_executor_knobs():
-    from repro.serve.service import ServiceConfig
+    from repro.serve import RenderConfig, ServiceConfig
 
-    config = ServiceConfig(render_workers=2, executor="process", backend="numpy")
+    config = ServiceConfig(
+        render=RenderConfig(render_workers=2, executor="process", backend="numpy")
+    )
     assert config.render_workers == 2
     with pytest.raises(InvalidParameterError):
-        ServiceConfig(executor="greenlet")
+        ServiceConfig(render=RenderConfig(executor="greenlet"))
     with pytest.raises(InvalidParameterError):
-        ServiceConfig(render_workers=0)
+        ServiceConfig(render=RenderConfig(render_workers=0))
 
 
 # -- custom linter: backend-dispatch rule ------------------------------------

@@ -17,6 +17,7 @@ from repro.core.engine import QueryStats, RefinementEngine
 from repro.core.exact import exact_density
 from repro.errors import InvalidParameterError, UnsupportedOperationError
 from repro.index.kdtree import KDTree
+from repro.visual.request import RenderOptions, RenderRequest
 
 
 def _workload(kernel, seed, n=400, m=60):
@@ -208,7 +209,9 @@ class TestMethodAndRendererIntegration:
         points = _workload("gaussian", 13, n=300)[0]
         renderer = KDVRenderer(points, resolution=(40, 30), leaf_size=32)
         eps = 0.05
-        image = renderer.render_eps(eps, "quad", tile_size=16, workers=workers)
+        image = renderer.render(
+            RenderRequest.for_eps(eps, "quad", options=RenderOptions(tile_size=16, workers=workers))
+        )
         exact = renderer.render_exact()
         atol = 1e-9 * renderer.weight
         assert image.shape == exact.shape
@@ -222,7 +225,9 @@ class TestMethodAndRendererIntegration:
         renderer = KDVRenderer(points, resolution=(40, 30), leaf_size=32)
         exact = renderer.render_exact()
         tau = float(np.median(exact))
-        mask = renderer.render_tau(tau, "quad", tile_size=16, workers=workers)
+        mask = renderer.render(
+            RenderRequest.for_tau(tau, "quad", options=RenderOptions(tile_size=16, workers=workers))
+        )
         assert np.array_equal(mask, renderer.render_tau(tau, "quad"))
         assert np.array_equal(mask, exact >= tau)
 
@@ -233,7 +238,9 @@ class TestMethodAndRendererIntegration:
         renderer = KDVRenderer(points, resolution=(40, 30), leaf_size=32)
         method = renderer.get_method("quad")
         method.stats.reset()
-        renderer.render_eps(0.05, "quad", tile_size=16, workers=3)
+        renderer.render(
+            RenderRequest.for_eps(0.05, "quad", options=RenderOptions(tile_size=16, workers=3))
+        )
         assert method.stats.queries == renderer.grid.num_pixels
         assert method.stats.iterations > 0
 
@@ -243,7 +250,9 @@ class TestMethodAndRendererIntegration:
         points = _workload("gaussian", 16, n=300)[0]
         renderer = KDVRenderer(points, resolution=(20, 15), leaf_size=32)
         with pytest.raises(UnsupportedOperationError):
-            renderer.render_eps(0.05, "zorder", tile_size=8)
+            renderer.render(
+                RenderRequest.for_eps(0.05, "zorder", options=RenderOptions(tile_size=8))
+            )
 
     def test_renderer_tiled_checked(self):
         from repro.visual.kdv import KDVRenderer
@@ -251,5 +260,7 @@ class TestMethodAndRendererIntegration:
         points = _workload("gaussian", 17, n=200)[0]
         renderer = KDVRenderer(points, resolution=(16, 12), leaf_size=32)
         with checking(True):
-            image = renderer.render_eps(0.05, "quad", tile_size=8)
+            image = renderer.render(
+                RenderRequest.for_eps(0.05, "quad", options=RenderOptions(tile_size=8))
+            )
         assert np.all(np.isfinite(image))

@@ -19,6 +19,7 @@ from repro.core.exact import exact_density
 from repro.errors import InvalidParameterError
 from repro.methods.registry import create_method
 from repro.visual.kdv import KDVRenderer
+from repro.visual.request import RenderOptions, RenderRequest
 
 
 def small_points(n=300, seed=3):
@@ -133,7 +134,9 @@ class TestWorkerPoolErrors:
         monkeypatch.setattr(BatchRefinementEngine, "query_eps_batch", flaky)
         fitted.stats.reset()
         with pytest.raises(RuntimeError, match="tile exploded"):
-            renderer.render_eps(0.05, "quad", tile_size=4, workers=2)
+            renderer.render(
+                RenderRequest.for_eps(0.05, "quad", options=RenderOptions(tile_size=4, workers=2))
+            )
 
     def test_no_stats_merged_on_failure(self, monkeypatch):
         from repro.core.batch_engine import BatchRefinementEngine
@@ -148,14 +151,18 @@ class TestWorkerPoolErrors:
         monkeypatch.setattr(BatchRefinementEngine, "query_eps_batch", always_fail)
         fitted.stats.reset()
         with pytest.raises(RuntimeError):
-            renderer.render_eps(0.05, "quad", tile_size=4, workers=3)
+            renderer.render(
+                RenderRequest.for_eps(0.05, "quad", options=RenderOptions(tile_size=4, workers=3))
+            )
         # All-or-nothing: the failed render must not leak partial
         # per-worker stats into the method's ledger.
         assert fitted.stats.as_dict() == {
             key: 0 for key in fitted.stats.as_dict()
         }
         monkeypatch.setattr(BatchRefinementEngine, "query_eps_batch", original)
-        image = renderer.render_eps(0.05, "quad", tile_size=4, workers=2)
+        image = renderer.render(
+            RenderRequest.for_eps(0.05, "quad", options=RenderOptions(tile_size=4, workers=2))
+        )
         direct = renderer.render_eps(0.05, "quad")
         exact = renderer.render_exact()
         assert np.all(np.abs(image - exact) <= 0.05 * exact + 1e-9 * renderer.weight)
@@ -174,7 +181,9 @@ class TestWorkerPoolErrors:
 
         monkeypatch.setattr(BatchRefinementEngine, "query_eps_batch", always_fail)
         with pytest.raises(RuntimeError):
-            renderer.render_eps(0.05, "quad", tile_size=2, workers=2)
+            renderer.render(
+                RenderRequest.for_eps(0.05, "quad", options=RenderOptions(tile_size=2, workers=2))
+            )
         # 16x12 grid at tile_size=2 is 48 tiles; with the cancel flag
         # each worker fails its first tile and stops draining.
         assert calls["n"] <= 4

@@ -231,17 +231,21 @@ class TestFoldedGuaranteeEndToEnd:
 
     @pytest.fixture()
     def serve_pair(self, small_points):
-        from repro.serve.service import ServiceConfig, TileService
+        from repro.serve import RenderConfig, ServiceConfig, TileService
 
         eps = 0.05
         coreset_svc = TileService(
-            config=ServiceConfig(tile_px=24, eps=eps, workers=1, deadline_ms=None)
+            config=ServiceConfig(
+                render=RenderConfig(tile_px=24, eps=eps, workers=1, deadline_ms=None)
+            )
         )
         coreset_svc.registry.register(
             "d", small_points, coreset_zoom=2, coreset_delta_cap=0.01, leaf_size=32
         )
         exact_svc = TileService(
-            config=ServiceConfig(tile_px=24, eps=eps, workers=1, deadline_ms=None)
+            config=ServiceConfig(
+                render=RenderConfig(tile_px=24, eps=eps, workers=1, deadline_ms=None)
+            )
         )
         exact_svc.registry.register("d", small_points, leaf_size=32)
         yield coreset_svc, exact_svc, eps

@@ -29,6 +29,7 @@ from repro.obs.sinks import (
     resolve_sink,
 )
 from repro.obs.trace import Tracer
+from repro.visual.request import RenderOptions, RenderRequest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -402,7 +403,9 @@ class TestRendererIntegration:
 
         path = tmp_path / "render.jsonl"
         renderer = KDVRenderer(small_points(), resolution=(12, 10), leaf_size=64)
-        renderer.render_eps(0.05, "quad", tile_size=8, trace=path)
+        renderer.render(
+            RenderRequest.for_eps(0.05, "quad", options=RenderOptions(tile_size=8, trace=path))
+        )
         summary = summarize_jsonl(path)
         assert summary["tiles"]["count"] > 0
         assert "quad/batch/eps" in summary["queries"]
@@ -414,7 +417,9 @@ class TestRendererIntegration:
 
         renderer = KDVRenderer(small_points(), resolution=(12, 10), leaf_size=64)
         with trace_to() as tracer:
-            renderer.render_tau(1e-9, "quad", tile_size=8, workers=2)
+            renderer.render(
+                RenderRequest.for_tau(1e-9, "quad", options=RenderOptions(tile_size=8, workers=2))
+            )
         renders = [e for e in tracer.events() if e["event"] == "render"]
         assert renders and renders[0]["workers"] == 2
         assert len(renders[0]["worker_busy"]) == 2
@@ -459,7 +464,9 @@ class TestTools:
 
         path = tmp_path / "cli.jsonl"
         renderer = KDVRenderer(small_points(), resolution=(10, 8), leaf_size=64)
-        renderer.render_eps(0.05, "quad", tile_size=8, trace=path)
+        renderer.render(
+            RenderRequest.for_eps(0.05, "quad", options=RenderOptions(tile_size=8, trace=path))
+        )
         proc = subprocess.run(
             [sys.executable, str(REPO_ROOT / "tools" / "trace_report.py"), str(path)],
             capture_output=True,

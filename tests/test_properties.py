@@ -15,6 +15,7 @@ from repro.core.exact import exact_density
 from repro.core.kde import KernelDensity
 from repro.index.kdtree import KDTree
 from repro.methods.registry import create_method
+from repro.visual.request import RenderOptions, RenderRequest
 
 dataset_strategy = st.fixed_dictionaries(
     {
@@ -192,10 +193,14 @@ def test_worker_stats_merge_matches_single_worker(params, workers):
     renderer = KDVRenderer(points, resolution=(10, 8), leaf_size=16)
     fitted = renderer.get_method("quad")
     fitted.stats.reset()
-    sequential = renderer.render_eps(0.05, "quad", tile_size=4)
+    sequential = renderer.render(
+        RenderRequest.for_eps(0.05, "quad", options=RenderOptions(tile_size=4))
+    )
     baseline = fitted.stats.as_dict()
     fitted.stats.reset()
-    parallel = renderer.render_eps(0.05, "quad", tile_size=4, workers=workers)
+    parallel = renderer.render(
+        RenderRequest.for_eps(0.05, "quad", options=RenderOptions(tile_size=4, workers=workers))
+    )
     assert fitted.stats.as_dict() == baseline
     np.testing.assert_array_equal(sequential, parallel)
 

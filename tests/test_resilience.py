@@ -39,6 +39,7 @@ from repro.resilience import (
     run_tiles,
 )
 from repro.visual.kdv import KDVRenderer
+from repro.visual.request import RenderOptions, RenderRequest
 
 
 def small_points(n=400, seed=11):
@@ -176,14 +177,14 @@ class TestDeadlinePartialRender:
         outcome = renderer.render_tau_anytime(
             tau, tile_size=8, budget=Budget(max_kernel_evals=2000)
         )
-        reference = renderer.render_tau(tau, tile_size=8)
+        reference = renderer.render(RenderRequest.for_tau(tau, options=RenderOptions(tile_size=8)))
         partial = outcome.image.astype(bool)
         # Undecided pixels render cold: no false positives vs the
         # complete reference mask.
         assert not (partial & ~reference).any()
 
     def test_anytime_complete_matches_strict_path(self, renderer):
-        strict = renderer.render_eps(0.05, tile_size=8)
+        strict = renderer.render(RenderRequest.for_eps(0.05, options=RenderOptions(tile_size=8)))
         outcome = renderer.render_eps_anytime(0.05, tile_size=8)
         assert outcome.complete
         assert np.array_equal(outcome.image, strict)
@@ -192,7 +193,7 @@ class TestDeadlinePartialRender:
 
 class TestFaultRecovery:
     def test_worker_crashes_recovered_bit_identical(self, renderer):
-        reference = renderer.render_eps(0.05, tile_size=8)
+        reference = renderer.render(RenderRequest.for_eps(0.05, options=RenderOptions(tile_size=8)))
         outcome = renderer.render_eps_anytime(
             0.05, tile_size=8, workers=3,
             faults="worker_crash:0.05,nan_bounds:0.05,seed:3",
@@ -201,9 +202,12 @@ class TestFaultRecovery:
         assert np.array_equal(outcome.image, reference)
 
     def test_fault_env_engages_tiled_render(self, renderer, monkeypatch):
-        reference = renderer.render_eps(0.05, tile_size=8)
+        reference = renderer.render(RenderRequest.for_eps(0.05, options=RenderOptions(tile_size=8)))
         monkeypatch.setenv("REPRO_FAULTS", "worker_crash:0.1,seed:1")
-        assert np.array_equal(renderer.render_eps(0.05, tile_size=8), reference)
+        assert np.array_equal(
+            renderer.render(RenderRequest.for_eps(0.05, options=RenderOptions(tile_size=8))),
+            reference,
+        )
 
     def test_exhausted_retries_surface_failed_tiles(self, renderer):
         outcome = renderer.render_eps_anytime(
@@ -217,10 +221,15 @@ class TestFaultRecovery:
         assert degraded.tiles_failed
         # The strict facade raises instead of returning a partial image.
         with pytest.raises(TransientTileError):
-            renderer.render_eps(
-                0.05, tile_size=8,
-                faults="worker_crash:1.0,seed:0",
-                retry=RetryPolicy(max_attempts=2, backoff_s=0.0001),
+            renderer.render(
+                RenderRequest.for_eps(
+                    0.05,
+                    options=RenderOptions(
+                        tile_size=8,
+                        faults="worker_crash:1.0,seed:0",
+                        retry=RetryPolicy(max_attempts=2, backoff_s=0.0001),
+                    ),
+                )
             )
 
     def test_quarantine_retires_bad_worker(self):
@@ -275,7 +284,7 @@ class TestFaultRecovery:
 
 class TestCheckpointResume:
     def test_resume_bit_identical(self, renderer, tmp_path):
-        reference = renderer.render_eps(0.05, tile_size=8)
+        reference = renderer.render(RenderRequest.for_eps(0.05, options=RenderOptions(tile_size=8)))
         ckpt = tmp_path / "render.npz"
         partial = renderer.render_eps_anytime(
             0.05, tile_size=8,
@@ -327,7 +336,8 @@ class TestCheckpointResume:
         )
         assert resumed.complete
         assert np.array_equal(
-            resumed.image, renderer.render_eps(0.05, tile_size=8)
+            resumed.image,
+            renderer.render(RenderRequest.for_eps(0.05, options=RenderOptions(tile_size=8))),
         )
 
 

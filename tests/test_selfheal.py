@@ -38,7 +38,7 @@ from repro.resilience.supervisor import (
     PoolSupervisor,
     default_pool_supervisor,
 )
-from repro.serve import ServiceConfig, TileServer, TileService
+from repro.serve import RenderConfig, ResilienceConfig, ServiceConfig, TileServer, TileService
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
@@ -255,12 +255,8 @@ class TestSupervisedRecovery:
 def svc(small_points):
     service = TileService(
         config=ServiceConfig(
-            tile_px=32,
-            eps=0.1,
-            workers=2,
-            deadline_ms=None,
-            breaker_threshold=2,
-            breaker_reset_s=0.05,
+            render=RenderConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None),
+            resilience=ResilienceConfig(breaker_threshold=2, breaker_reset_s=0.05),
         )
     )
     service.registry.register("crime", small_points)
@@ -270,7 +266,9 @@ def svc(small_points):
 
 class TestDegradeLadder:
     def test_partial_served_on_deadline_and_never_cached(self, small_points):
-        service = TileService(config=ServiceConfig(tile_px=48, eps=0.001, workers=1))
+        service = TileService(
+            config=ServiceConfig(render=RenderConfig(tile_px=48, eps=0.001, workers=1))
+        )
         try:
             service.registry.register("crime", small_points)
             plan = service.plan_tile("crime", 0, 0, 0, deadline_ms=1e-6)
@@ -309,8 +307,8 @@ class TestDegradeLadder:
     def test_degraded_serving_off_keeps_strict_semantics(self, small_points, monkeypatch):
         service = TileService(
             config=ServiceConfig(
-                tile_px=32, eps=0.1, workers=2, deadline_ms=None,
-                degraded_serving=False,
+                render=RenderConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None),
+                resilience=ResilienceConfig(degraded_serving=False),
             )
         )
         try:
@@ -401,7 +399,8 @@ class TestDrainOnClose:
     def test_close_waits_for_in_flight_renders(self, small_points, monkeypatch):
         service = TileService(
             config=ServiceConfig(
-                tile_px=32, eps=0.1, workers=2, deadline_ms=None, drain_s=5.0
+                render=RenderConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None),
+                resilience=ResilienceConfig(drain_s=5.0),
             )
         )
         service.registry.register("crime", small_points)
@@ -447,7 +446,9 @@ def _fetch(url, path):
 class TestHttpErrorContract:
     def test_error_matrix_and_degradation_headers(self, small_points, monkeypatch):
         svc = TileService(
-            config=ServiceConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None)
+            config=ServiceConfig(
+                render=RenderConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None)
+            )
         )
         svc.registry.register("crime", small_points)
 

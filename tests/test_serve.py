@@ -27,6 +27,8 @@ from repro.errors import (
 )
 from repro.serve import (
     DatasetRegistry,
+    RenderConfig,
+    ResilienceConfig,
     ServiceConfig,
     TileServer,
     TileService,
@@ -41,7 +43,7 @@ PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 @pytest.fixture(scope="module")
 def service(small_points):
     svc = TileService(
-        config=ServiceConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None)
+        config=ServiceConfig(render=RenderConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None))
     )
     svc.registry.register("crime", small_points)
     yield svc
@@ -140,7 +142,9 @@ class TestTileService:
         warm, _ = service.get_tile("crime", 1, 1, 0)
         # A fresh service with an empty cache must produce the same bytes.
         fresh = TileService(
-            config=ServiceConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None)
+            config=ServiceConfig(
+                render=RenderConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None)
+            )
         )
         try:
             fresh.registry.register("crime", small_points)
@@ -220,7 +224,10 @@ class TestTileService:
 
     def test_backpressure_rejects_when_queue_full(self, small_points):
         svc = TileService(
-            config=ServiceConfig(tile_px=32, workers=1, queue_limit=2)
+            config=ServiceConfig(
+                render=RenderConfig(tile_px=32, workers=1),
+                resilience=ResilienceConfig(queue_limit=2),
+            )
         )
         try:
             assert svc.try_acquire_slot() and svc.try_acquire_slot()
@@ -236,7 +243,9 @@ class TestTileService:
             svc.close()
 
     def test_deadline_trips_and_nothing_is_cached(self, small_points):
-        svc = TileService(config=ServiceConfig(tile_px=48, eps=0.001, workers=1))
+        svc = TileService(
+            config=ServiceConfig(render=RenderConfig(tile_px=48, eps=0.001, workers=1))
+        )
         try:
             svc.registry.register("crime", small_points)
             plan = svc.plan_tile("crime", 0, 0, 0, deadline_ms=1e-6)
@@ -289,7 +298,9 @@ class TestTileService:
 class TestHttpServer:
     def test_end_to_end(self, small_points):
         svc = TileService(
-            config=ServiceConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None)
+            config=ServiceConfig(
+                render=RenderConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None)
+            )
         )
         svc.registry.register("crime", small_points)
 
