@@ -47,10 +47,12 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.bounds.base import BoundProvider
 
 if TYPE_CHECKING:
-    from repro._types import BoundPair, KernelLike, PointLike
+    from repro._types import BoundPair, FloatArray, KernelLike, PointLike
     from repro.index.kdtree import KDTreeNode
 
 __all__ = ["DistanceQuadraticBoundProvider"]
@@ -71,13 +73,13 @@ class DistanceQuadraticBoundProvider(BoundProvider):
     def __init__(self, kernel: KernelLike, gamma: float, weight: float = 1.0) -> None:
         super().__init__(kernel, gamma, weight)
         bounds_by_kernel = {
-            "triangular": self._triangular_bounds,
-            "cosine": self._cosine_bounds,
-            "exponential": self._exponential_bounds,
-            "epanechnikov": self._epanechnikov_bounds,
-            "quartic": self._quartic_bounds,
+            "triangular": (self._triangular_bounds, self._triangular_bounds_batch),
+            "cosine": (self._cosine_bounds, self._cosine_bounds_batch),
+            "exponential": (self._exponential_bounds, self._exponential_bounds_batch),
+            "epanechnikov": (self._epanechnikov_bounds, self._epanechnikov_bounds_batch),
+            "quartic": (self._quartic_bounds, self._quartic_bounds_batch),
         }
-        self._kernel_bounds = bounds_by_kernel[self.kernel.name]
+        self._kernel_bounds, self._kernel_bounds_batch = bounds_by_kernel[self.kernel.name]
 
     def node_bounds(
         self, node: KDTreeNode, q: PointLike, q_sq: float
@@ -94,6 +96,42 @@ class DistanceQuadraticBoundProvider(BoundProvider):
         # sum of x_i^2 = gamma^2 * sum of squared distances (O(d)).
         x2_sum = gamma * gamma * node.agg.sum_sq_dists(q)
         return self._kernel_bounds(node, q, q_sq, n, xmin, xmax, x2_sum)
+
+    def node_bounds_batch(
+        self, node: KDTreeNode, queries: FloatArray, queries_sq: FloatArray
+    ) -> tuple[FloatArray, FloatArray]:
+        """Vectorised :meth:`node_bounds` over an ``(m, d)`` query batch.
+
+        Each ``_<kernel>_bounds_batch`` mirrors its scalar method row by
+        row and in the same operand order; every branch becomes a mask,
+        and masked rows divide by a safe denominator.
+        """
+        n = node.agg.total_weight
+        m = queries.shape[0]
+        if n <= 0.0:
+            return (
+                np.zeros(m, dtype=np.float64),
+                np.zeros(m, dtype=np.float64),
+            )
+        gamma = self.gamma
+        xmin, xmax = self.x_interval_batch(node, queries)
+        x2_sum, x4_sum = node.agg.dist_sums_batch(
+            queries, quartic=self.kernel.name == "quartic"
+        )
+        x2_sum *= gamma * gamma
+        umin = xmin * xmin
+        umax = xmax * xmax
+        denom = umax - umin
+        degenerate = xmax - xmin <= _DEGENERATE_WIDTH
+        np.copyto(denom, 1.0, where=degenerate)  # safe denominator
+        lower, upper = self._kernel_bounds_batch(
+            n, xmin, xmax, umin, umax, denom, x2_sum, x4_sum
+        )
+        if degenerate.any():
+            value = self.kernel.profile(xmin) * (self.weight * n)
+            np.copyto(lower, value, where=degenerate)
+            np.copyto(upper, value, where=degenerate)
+        return lower, upper
 
     # -- triangular ----------------------------------------------------
 
@@ -130,6 +168,31 @@ class DistanceQuadraticBoundProvider(BoundProvider):
         if lower > upper:
             lower = upper
         return lower, upper
+
+    def _triangular_bounds_batch(
+        self,
+        n: float,
+        xmin: FloatArray,
+        xmax: FloatArray,
+        umin: FloatArray,
+        umax: FloatArray,
+        denom: FloatArray,
+        x2_sum: FloatArray,
+        x4_sum: FloatArray | None,
+    ) -> tuple[FloatArray, FloatArray]:
+        weight = self.weight
+        scale = weight * n
+        k_min = 1.0 - xmin
+        k_max = np.where(xmax < 1.0, 1.0 - xmax, 0.0)
+        au = (k_max - k_min) / denom
+        cu = (umax * k_min - umin * k_max) / denom
+        upper = weight * (au * x2_sum + cu * n)
+        np.minimum(upper, scale * k_min, out=upper)
+        lower = weight * (n - np.sqrt(n * x2_sum))
+        np.maximum(lower, scale * k_max, out=lower)
+        np.maximum(lower, 0.0, out=lower)
+        np.minimum(lower, upper, out=lower)
+        return _zero_where(xmin >= 1.0, lower, upper)
 
     # -- cosine ----------------------------------------------------------
 
@@ -178,6 +241,42 @@ class DistanceQuadraticBoundProvider(BoundProvider):
             lower = upper
         return lower, upper
 
+    def _cosine_bounds_batch(
+        self,
+        n: float,
+        xmin: FloatArray,
+        xmax: FloatArray,
+        umin: FloatArray,
+        umax: FloatArray,
+        denom: FloatArray,
+        x2_sum: FloatArray,
+        x4_sum: FloatArray | None,
+    ) -> tuple[FloatArray, FloatArray]:
+        weight = self.weight
+        scale = weight * n
+        inside = xmax <= _HALF_PI
+        cos_xmin = np.cos(xmin)
+        cos_xmax = np.cos(xmax)
+        sin_xmax = np.sin(xmax)
+        baseline_upper = scale * cos_xmin
+        # Inside: chord upper (Lemma 9) and tangent-at-xmax lower (Lemma 10).
+        au = (cos_xmax - cos_xmin) / denom
+        cu = (umax * cos_xmin - umin * cos_xmax) / denom
+        chord = weight * (au * x2_sum + cu * n)
+        # xmax = 0 only on degenerate rows, which node_bounds_batch overwrites.
+        al = -sin_xmax / (2.0 * np.where(xmax > 0.0, xmax, 1.0))
+        cl = cos_xmax + xmax * sin_xmax / 2.0
+        tangent = weight * (al * x2_sum + cl * n)
+        # Straddling pi/2: baseline upper, tangent-at-pi/2 lower.
+        straddle = weight * (-x2_sum / math.pi + n * math.pi / 4.0)
+        upper = np.where(inside, chord, baseline_upper)
+        np.minimum(upper, baseline_upper, out=upper)
+        lower = np.where(inside, tangent, straddle)
+        np.maximum(lower, np.where(inside, scale * cos_xmax, 0.0), out=lower)
+        np.maximum(lower, 0.0, out=lower)
+        np.minimum(lower, upper, out=lower)
+        return _zero_where(xmin >= _HALF_PI, lower, upper)
+
     # -- exponential -----------------------------------------------------
 
     def _exponential_bounds(
@@ -222,6 +321,37 @@ class DistanceQuadraticBoundProvider(BoundProvider):
             lower = upper
         return lower, upper
 
+    def _exponential_bounds_batch(
+        self,
+        n: float,
+        xmin: FloatArray,
+        xmax: FloatArray,
+        umin: FloatArray,
+        umax: FloatArray,
+        denom: FloatArray,
+        x2_sum: FloatArray,
+        x4_sum: FloatArray | None,
+    ) -> tuple[FloatArray, FloatArray]:
+        weight = self.weight
+        scale = weight * n
+        exp_xmin = self.kernel.profile(xmin)
+        exp_xmax = self.kernel.profile(xmax)
+        au = (exp_xmax - exp_xmin) / denom
+        cu = (umax * exp_xmin - umin * exp_xmax) / denom
+        upper = weight * (au * x2_sum + cu * n)
+        t = np.clip(np.sqrt(x2_sum / n), xmin, xmax)
+        coincident = t <= _DEGENERATE_WIDTH
+        np.copyto(t, 1.0, where=coincident)  # safe denominator
+        exp_t = self.kernel.profile(t)
+        al = -exp_t / (2.0 * t)
+        cl = 0.5 * (t + 2.0) * exp_t
+        lower = weight * (al * x2_sum + cl * n)
+        np.copyto(lower, scale, where=coincident)
+        np.minimum(upper, scale * exp_xmin, out=upper)
+        np.maximum(lower, scale * exp_xmax, out=lower)
+        np.minimum(lower, upper, out=lower)
+        return lower, upper
+
     # -- epanechnikov (extension) -----------------------------------------
 
     def _epanechnikov_bounds(
@@ -259,6 +389,27 @@ class DistanceQuadraticBoundProvider(BoundProvider):
             lower = upper
         return lower, upper
 
+    def _epanechnikov_bounds_batch(
+        self,
+        n: float,
+        xmin: FloatArray,
+        xmax: FloatArray,
+        umin: FloatArray,
+        umax: FloatArray,
+        denom: FloatArray,
+        x2_sum: FloatArray,
+        x4_sum: FloatArray | None,
+    ) -> tuple[FloatArray, FloatArray]:
+        weight = self.weight
+        exact = weight * (n - x2_sum)
+        np.maximum(exact, 0.0, out=exact)
+        k_min = 1.0 - umin
+        upper = weight * k_min * (umax * n - x2_sum) / denom
+        np.minimum(upper, weight * n * k_min, out=upper)
+        np.copyto(upper, exact, where=xmax <= 1.0)
+        lower = np.minimum(exact, upper, out=exact)
+        return _zero_where(xmin >= 1.0, lower, upper)
+
     # -- quartic (extension) ----------------------------------------------
 
     def _quartic_bounds(
@@ -291,3 +442,33 @@ class DistanceQuadraticBoundProvider(BoundProvider):
         if upper < 0.0:
             upper = 0.0
         return 0.0, upper
+
+    def _quartic_bounds_batch(
+        self,
+        n: float,
+        xmin: FloatArray,
+        xmax: FloatArray,
+        umin: FloatArray,
+        umax: FloatArray,
+        denom: FloatArray,
+        x2_sum: FloatArray,
+        x4_sum: FloatArray | None,
+    ) -> tuple[FloatArray, FloatArray]:
+        assert x4_sum is not None
+        weight = self.weight
+        upper = weight * (n - 2.0 * x2_sum + x4_sum * self.gamma ** 4)
+        k_min = 1.0 - umin
+        straddle = xmax > 1.0
+        np.minimum(upper, weight * n * k_min * k_min, out=upper, where=straddle)
+        np.maximum(upper, 0.0, out=upper)
+        lower = np.where(straddle, 0.0, upper)
+        return _zero_where(xmin >= 1.0, lower, upper)
+
+
+def _zero_where(
+    outside: FloatArray, lower: FloatArray, upper: FloatArray
+) -> tuple[FloatArray, FloatArray]:
+    """Zero both bounds on the rows whose node lies outside the support."""
+    np.copyto(lower, 0.0, where=outside)
+    np.copyto(upper, 0.0, where=outside)
+    return lower, upper

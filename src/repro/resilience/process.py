@@ -146,6 +146,10 @@ class CancelWatcher:
         self._thread: Optional[threading.Thread] = None
 
     def __enter__(self) -> CancelWatcher:
+        # A token that has already stopped trips the slot before any tile
+        # is submitted, rather than a poll period later.
+        if self._token.stop_reason() is not None:
+            self.trip()
         self._thread = threading.Thread(
             target=self._run, name="repro-cancel-watcher", daemon=True
         )

@@ -295,6 +295,28 @@ def test_process_executor_precancelled_token_runs_nothing(renderer):
         assert np.all(np.isfinite(lower)) and np.all(lower <= upper)
 
 
+def test_cancel_watcher_trips_slot_of_precancelled_token_on_enter():
+    """The slot is set before the render submits its first tile.
+
+    The poll interval is far longer than the ``with`` body, so only the
+    check in ``__enter__`` can have set the slot.
+    """
+    import multiprocessing as mp
+
+    from repro.resilience.budget import CancellationToken
+    from repro.resilience.process import CancelSlots, CancelWatcher
+
+    slots = CancelSlots(mp.get_context("spawn"), capacity=2)
+    slot = slots.claim()
+    token = CancellationToken()
+    token.cancel("test-cancel")
+    try:
+        with CancelWatcher(slots, slot, token, poll_interval=5.0):
+            assert slots.is_set(slot)
+    finally:
+        slots.release(slot)
+
+
 def test_process_executor_close_is_idempotent(renderer):
     fitted = renderer.get_method("quad")
     pool = ProcessTileExecutor(fitted, 1)

@@ -13,6 +13,7 @@ import pytest
 from repro.contracts.runtime import checking
 from repro.core.batch_engine import BatchRefinementEngine
 from repro.core.bounds import make_bound_provider
+from repro.core.bounds.base import BoundProvider
 from repro.core.engine import QueryStats, RefinementEngine
 from repro.core.exact import exact_density
 from repro.errors import InvalidParameterError, UnsupportedOperationError
@@ -33,9 +34,29 @@ def _workload(kernel, seed, n=400, m=60):
     return points, gamma, weight, queries, exact
 
 
+class ScalarOnlyProvider(BoundProvider):
+    """Implements only ``node_bounds``, as a third-party provider may.
+
+    The batch engine then runs the base class's per-row
+    ``node_bounds_batch`` fallback; the scalar bounds are QUAD's.
+    """
+
+    name = "scalar-only"
+
+    def __init__(self, kernel, gamma, weight):
+        super().__init__(kernel, gamma, weight)
+        self._quad = make_bound_provider("quad", kernel, gamma, weight)
+
+    def node_bounds(self, node, q, q_sq):
+        return self._quad.node_bounds(node, q, q_sq)
+
+
 def _engines(points, gamma, weight, kernel, provider_name, ordering="gap"):
     tree = KDTree(points, leaf_size=32)
-    provider = make_bound_provider(provider_name, kernel, gamma, weight)
+    if provider_name == ScalarOnlyProvider.name:
+        provider = ScalarOnlyProvider(kernel, gamma, weight)
+    else:
+        provider = make_bound_provider(provider_name, kernel, gamma, weight)
     return (
         RefinementEngine(tree, provider, ordering=ordering),
         BatchRefinementEngine(tree, provider, ordering=ordering),
@@ -43,15 +64,19 @@ def _engines(points, gamma, weight, kernel, provider_name, ordering="gap"):
 
 
 class TestEpsEquivalence:
-    # "triangular" exercises the DistanceQuadraticBoundProvider, which
-    # has no vectorised batch override — i.e. the default per-row
-    # node_bounds_batch fallback path.
+    # "scalar-only" runs the base class's per-row node_bounds_batch
+    # fallback, which no built-in provider uses.
     @pytest.mark.parametrize("kernel,provider", [
         ("gaussian", "quad"),
         ("gaussian", "linear"),
         ("gaussian", "baseline"),
         ("triangular", "quad"),
+        ("cosine", "quad"),
+        ("exponential", "quad"),
+        ("epanechnikov", "quad"),
+        ("quartic", "quad"),
         ("exponential", "baseline"),
+        ("triangular", ScalarOnlyProvider.name),
     ])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_envelope_matches_scalar(self, kernel, provider, seed):
@@ -112,6 +137,11 @@ class TestTauEquivalence:
         ("gaussian", "quad"),
         ("gaussian", "baseline"),
         ("triangular", "quad"),
+        ("cosine", "quad"),
+        ("exponential", "quad"),
+        ("epanechnikov", "quad"),
+        ("quartic", "quad"),
+        ("triangular", ScalarOnlyProvider.name),
     ])
     @pytest.mark.parametrize("seed", [0, 11])
     def test_masks_match_scalar_and_truth(self, kernel, provider, seed):
@@ -130,6 +160,10 @@ class TestInvariantChecking:
         ("gaussian", "quad"),
         ("gaussian", "linear"),
         ("triangular", "quad"),
+        ("cosine", "quad"),
+        ("exponential", "quad"),
+        ("epanechnikov", "quad"),
+        ("quartic", "quad"),
     ])
     def test_checked_path_passes(self, kernel, provider):
         points, gamma, weight, queries, exact = _workload(kernel, 6, n=200, m=20)

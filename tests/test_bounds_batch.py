@@ -9,9 +9,17 @@ cancellation-prone case of coordinates near 1e2 with a 1e-3 spread, it
 must agree with the scalar per-query path, enclose the brute-force node
 sum, and agree with the un-jitted numba kernel. Queries sit inside each
 node, on the edge of its region and outside it.
+
+The distance-kernel provider (triangular, cosine, exponential,
+Epanechnikov, quartic) is held to the same properties, with bandwidths
+that put rows inside the support, across its edge and past it, and
+must raise no RuntimeWarning on any row, masked or not.
 """
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.backends.numba_backend import NumbaBackend
@@ -61,7 +69,7 @@ def node_queries(node, spread, rng):
 
 
 def node_sum(provider, node, query):
-    """Brute-force weighted Gaussian sum of the node's points at ``query``."""
+    """Brute-force weighted kernel sum of the node's points at ``query``."""
     stack, total = [node], 0.0
     while stack:
         current = stack.pop()
@@ -69,16 +77,22 @@ def node_sum(provider, node, query):
             stack += [current.left, current.right]
             continue
         sq_dists = ((current.points - query) ** 2).sum(axis=1)
-        values = np.exp(-provider.gamma * sq_dists)
+        values = provider.kernel.evaluate(sq_dists, provider.gamma)
         weights = 1.0 if current.weights is None else current.weights
         total += float(np.sum(values * weights))
     return provider.weight * total
 
 
-def each_node(case, provider_name):
-    """Yield ``(provider, node, queries, queries_sq)`` over every node of a case."""
+def each_node(case, provider_name, kernel="gaussian", reach=1.0):
+    """Yield ``(provider, node, queries, queries_sq)`` over every node of a case.
+
+    A distance kernel gets ``gamma = reach / spread``: ``x = gamma * dist``
+    is then about ``reach`` at one spread from a point.
+    """
     tree, gamma, spread = make_tree(case)
-    provider = make_bound_provider(provider_name, "gaussian", gamma, 1.0 / case["n"])
+    if kernel != "gaussian":
+        gamma = reach / spread
+    provider = make_bound_provider(provider_name, kernel, gamma, 1.0 / case["n"])
     rng = np.random.default_rng(case["seed"] + 1)
     for node in tree.nodes():
         queries = node_queries(node, spread, rng)
@@ -156,3 +170,60 @@ def test_tangent_line_fallback_rows_match_scalar():
         np.testing.assert_allclose(upper, scalar[:, 1], rtol=1e-12, atol=1e-300)
         exact = np.array([node_sum(provider, tree.root, q) for q in queries])
         assert np.all(lower <= exact) and np.all(exact <= upper)
+
+
+DISTANCE_KERNELS = ["triangular", "cosine", "exponential", "epanechnikov", "quartic"]
+#: Kernels whose bounds use only + - * / and sqrt, so batch equals scalar.
+EXACT_KERNELS = {"triangular", "epanechnikov"}
+
+
+def assert_distance_batch_matches_scalar(provider, node, queries, queries_sq):
+    """Batch vs scalar bounds, brute-force enclosure and warning cleanliness."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lower, upper = provider.node_bounds_batch(node, queries, queries_sq)
+    scalar = scalar_bounds(provider, node, queries, queries_sq)
+    if provider.kernel.name in EXACT_KERNELS:
+        np.testing.assert_array_equal(lower, scalar[:, 0])
+        np.testing.assert_array_equal(upper, scalar[:, 1])
+    else:
+        np.testing.assert_allclose(lower, scalar[:, 0], rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(upper, scalar[:, 1], rtol=1e-12, atol=1e-300)
+    exact = np.array([node_sum(provider, node, q) for q in queries])
+    slack = 1e-12 * exact + 1e-300
+    assert np.all(lower <= exact + slack)
+    assert np.all(exact <= upper + slack)
+
+
+@property_settings
+@given(case=case_strategy, kernel=st.sampled_from(DISTANCE_KERNELS))
+def test_distance_batch_bounds_match_scalar_and_enclose(case, kernel):
+    # From all rows inside the support (reach 0.05) to most rows past it (20).
+    for reach in (0.05, 0.3, 1.0, 3.0, 20.0):
+        for provider, node, queries, queries_sq in each_node(case, "quad", kernel, reach):
+            assert_distance_batch_matches_scalar(provider, node, queries, queries_sq)
+
+
+@pytest.mark.parametrize("kernel", DISTANCE_KERNELS)
+def test_distance_batch_degenerate_rows(kernel):
+    """Zero-width intervals, and all mass at the query without a zero width.
+
+    A node of duplicate points has a zero-width interval at every query.
+    A node of a heavy point at the query and a light one ``5e-11`` away
+    has a non-degenerate interval but a mean-square ``x`` below the
+    exponential kernel's ``1e-12`` tangent cut-off.
+    """
+    for dims in (1, 2, 3):
+        point = np.linspace(0.5, 1.5, dims)
+        axis = np.eye(dims)[0]
+        duplicates = KDTree(np.tile(point, (12, 1)), leaf_size=4, weights=np.linspace(0.5, 2.0, 12))
+        offsets = np.array([0.0, 0.1, 0.9, 1.0, 1.2, 1.6, 3.0, 900.0])
+        queries = point + offsets[:, None] * axis
+        queries_sq = np.einsum("ij,ij->i", queries, queries)
+        for gamma in (0.5, 1.0, 2.0):
+            provider = make_bound_provider("quad", kernel, gamma, 1.0 / 12)
+            for node in duplicates.nodes():
+                assert_distance_batch_matches_scalar(provider, node, queries, queries_sq)
+        pair = KDTree(np.vstack([point, point + 5e-11 * axis]), weights=np.array([1.0, 1e-4]))
+        provider = make_bound_provider("quad", kernel, 1.0, 1.0)
+        assert_distance_batch_matches_scalar(provider, pair.root, point[None, :], queries_sq[:1])
